@@ -66,7 +66,7 @@ of decoding, instead of a per-hop Python walk over the rebuilt chain.
 Nothing here consumes randomness, and the encoder's output is
 byte-identical to :func:`~repro.core.codec.encode_message` (property-
 tested over every registered message type), so golden series stay
-bit-for-bit under every ``transport × verification`` combination.
+bit-for-bit under both transports.
 """
 
 from __future__ import annotations

@@ -110,16 +110,11 @@ class SecureCyclonNode(ProtocolNode):
         # never replaced, only mutated, so the alias stays valid.
         self._blacklist_map = self.blacklist.by_culprit
         self._drop_chains = config.drop_chains_through_blacklisted
-        # Batched verification (config knob / REPRO_VERIFICATION): a
-        # standalone node owns a private plan; engine-built overlays
-        # rebind the engine-wide shared plan (bind_verification_plan)
-        # so each distinct chain is verified once network-wide per
-        # cycle.  ``None`` selects the sequential path everywhere.
-        self._vplan: Optional[VerificationPlan] = (
-            VerificationPlan(registry)
-            if config.effective_verification() == "batched"
-            else None
-        )
+        # Chain verifier: ``None`` walks each chain sequentially; an
+        # engine with a wire transport binds its shared plan here on
+        # ``add_node`` (bind_verification_plan), so each distinct chain
+        # is verified once network-wide per cycle.
+        self._vplan: Optional[VerificationPlan] = None
         self._last_mint_cycle: Optional[int] = None
         self._last_mint_time_s: Optional[float] = None
         self._sessions: Dict[PublicKey, _PartnerSession] = {}
@@ -658,10 +653,10 @@ class SecureCyclonNode(ProtocolNode):
         return (*self.view.descriptors(), *self.redemption_cache.contents())
 
     def _verify_chain(self, descriptor: SecureDescriptor) -> bool:
-        """Chain verification through the configured mode.
+        """Chain verification through the bound verifier.
 
-        Sequential mode calls :func:`verify_descriptor` directly;
-        batched mode routes through the :class:`VerificationPlan` so
+        Without a plan this calls :func:`verify_descriptor` directly;
+        with one it routes through the :class:`VerificationPlan` so
         single verifications share the cycle's cross-node digest memo
         with the batched sample streams.  Both compute the identical
         predicate.
@@ -831,12 +826,11 @@ class SecureCyclonNode(ProtocolNode):
     def bind_verification_plan(self, plan: VerificationPlan) -> None:
         """Adopt a shared batched-verification plan.
 
-        Scenario builders call this on every node of an overlay whose
-        config resolves to ``verification="batched"``, replacing the
-        node's private plan with the engine-wide one so chain verdicts
-        are shared network-wide within a cycle.  Binding a plan opts
-        the node into the batched path regardless of its config — the
-        caller owns that decision.
+        :meth:`repro.sim.engine.Engine.add_node` calls this on every
+        node of a wire-transport overlay that verifies against the
+        engine's registry, so chain verdicts are shared network-wide
+        within a cycle.  Binding a plan opts the node into the batched
+        path — the caller owns that decision.
         """
         self._vplan = plan
 

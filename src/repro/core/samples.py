@@ -24,9 +24,8 @@ message lands here), which is why the layout is tuned this far and why
 from __future__ import annotations
 
 import bisect
-import os
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.chain import ChainRelation, compare_chains
 from repro.core.descriptor import (
@@ -41,72 +40,10 @@ from repro.core.proofs import (
     build_frequency_proof,
 )
 from repro.crypto.keys import PublicKey
-from repro.errors import ConfigError
 
 # Per-creator slot layout: [sorted timestamps, {timestamp: descriptor}].
 _TIMESTAMPS = 0
 _BY_TS = 1
-
-#: Environment knob for the observation prologue, mirroring
-#: ``REPRO_TRANSPORT``/``REPRO_VERIFICATION``: ``loop`` (default) runs
-#: the plain-Python flat screen, ``vectorized`` screens batch
-#: timestamps through a numpy kernel when numpy is importable (silently
-#: falling back to the loop when it is not — the knob must never make a
-#: result depend on an optional dependency).
-ENV_OBSERVE = "REPRO_OBSERVE"
-OBSERVE_MODES = ("loop", "vectorized")
-
-#: Below this batch size the numpy kernel costs more than it saves
-#: (array construction dominates), so the vectorized mode drops back to
-#: the flat loop.  Screening is pure, so the crossover is a pure
-#: performance knob — results are identical on both sides of it.
-_VECTOR_MIN_BATCH = 8
-
-_np_module: Any = None
-
-
-def _numpy() -> Optional[Any]:
-    """Import numpy once; ``None`` when unavailable."""
-    global _np_module
-    if _np_module is None:
-        try:
-            import numpy  # noqa: PLC0415 - optional, gated dependency
-
-            _np_module = numpy
-        except ImportError:  # pragma: no cover - numpy present in CI
-            _np_module = False
-    return _np_module if _np_module is not False else None
-
-
-def _deadline_keeps(items: list, deadline: float) -> Optional[list]:
-    """The vectorized timestamp screen, or ``None`` for the flat loop.
-
-    Returns a keep-mask (``True`` = timestamp within ``deadline``) over
-    ``items`` computed by numpy when ``REPRO_OBSERVE=vectorized`` asks
-    for it and the batch is big enough to amortise array construction.
-    The mask is ``not (ts > deadline)`` — the exact negation of the
-    sequential skip test, so non-finite timestamps (NaN compares false
-    either way) keep identical fates on both paths.
-    """
-    raw = os.environ.get(ENV_OBSERVE, "").strip().lower()
-    if not raw or raw == OBSERVE_MODES[0]:
-        return None
-    if raw not in OBSERVE_MODES:
-        valid = ", ".join(OBSERVE_MODES)
-        raise ConfigError(
-            f"invalid {ENV_OBSERVE}={raw!r}; expected one of: {valid}"
-        )
-    if len(items) < _VECTOR_MIN_BATCH:
-        return None
-    np = _numpy()
-    if np is None:
-        return None
-    timestamps = np.fromiter(
-        (descriptor.timestamp for descriptor in items),
-        dtype=np.float64,
-        count=len(items),
-    )
-    return np.logical_not(timestamps > deadline).tolist()
 
 
 class SampleCache:
@@ -242,16 +179,14 @@ class SampleCache:
 
         Structure-of-arrays prologue: the four pure screens (chain
         verification, timestamp bound, blacklist membership, tainted-
-        chain ownership) run as a flat pass over the whole batch first
-        — optionally with the timestamp screen vectorized through
-        numpy (``REPRO_OBSERVE=vectorized``) — and only the survivors
-        enter the stateful insertion loop.  The split is behaviour-
-        preserving because the screens are pure with respect to batch
-        state *until the first adoption*: the blacklist only ever
-        grows, and the insertion loop watches its size, re-applying the
-        blacklist screens live to every survivor after a mid-batch
-        adoption — exactly the checks the sequential interleaving would
-        have run.  Verification order is unchanged (every descriptor,
+        chain ownership) run as a flat pass over the whole batch first,
+        and only the survivors enter the stateful insertion loop.  The
+        split is behaviour-preserving because the screens are pure with
+        respect to batch state *until the first adoption*: the
+        blacklist only ever grows, and the insertion loop watches its
+        size, re-applying the blacklist screens live to every survivor
+        after a mid-batch adoption — exactly the checks the sequential
+        interleaving would have run.  Verification order is unchanged (every descriptor,
         screened or not, is verified exactly as the sequential loop
         verifies it), so memo and trusted-cache effects are identical.
         """
@@ -260,24 +195,15 @@ class SampleCache:
         )
         if not items:
             return
-        keeps = _deadline_keeps(items, deadline)
         survivors: List[SecureDescriptor] = []
         keep = survivors.append
-        position = 0
         for descriptor in items:
             if descriptor._verified_by is not registry and not verify_descriptor(
                 descriptor, registry
             ):
-                position += 1
                 continue
-            if keeps is not None:
-                if not keeps[position]:
-                    position += 1
-                    continue
-            elif descriptor.timestamp > deadline:
-                position += 1
+            if descriptor.timestamp > deadline:
                 continue
-            position += 1
             if descriptor.creator in blacklisted:
                 continue
             if drop_chains and any(

@@ -39,8 +39,9 @@ reuse, same per-object ``_verified_by`` memo side effects — so the two
 paths are interchangeable descriptor by descriptor.  The equivalence is
 enforced property-by-property in
 ``tests/properties/test_batched_verification.py`` and bit-for-bit on
-the golden figure series (``REPRO_VERIFICATION=batched`` in
-``tests/properties/test_scheduler_equivalence.py``).
+the golden figure series (the wire-transport runs in
+``tests/properties/test_scheduler_equivalence.py``, where every
+overlay verifies through the plan).
 
 Memo lifetime and invalidation: the digest memo is cleared at every
 cycle boundary (:meth:`VerificationPlan.begin_cycle`), and

@@ -31,7 +31,7 @@ from repro.sim.observers import Observer
 from repro.sim.rng import RngHub
 from repro.sim.scheduler import CycleScheduler, Scheduler
 from repro.sim.trace import EventTrace
-from repro.sim.transport import make_transport
+from repro.sim.transport import WireTransport, make_transport
 
 #: Run-loop interception point for the ops plane.  ``None`` in normal
 #: operation; :func:`repro.ops.checkpoint.split_runs` installs a
@@ -159,11 +159,11 @@ class Engine:
         self._legit_cache: Optional[Set[Any]] = None
         self._order_buffer: List[Any] = []
         # Engine-wide batched-verification plan (repro.crypto.batch):
-        # created lazily on first request and shared by every node the
-        # scenario builder binds it to, so each distinct ownership
-        # chain is verified once network-wide per cycle.  Stays None on
-        # sequential-verification runs; the schedulers reset it at
-        # every cycle boundary when it exists.
+        # created lazily on first request and bound by ``add_node`` to
+        # every verifying node of a wire-transport overlay, so each
+        # distinct ownership chain is verified once network-wide per
+        # cycle.  Stays None on object-transport runs; the schedulers
+        # reset it at every cycle boundary when it exists.
         self._verification_plan: Optional[Any] = None
         # Optional repro.ops.checkpoint.CheckpointPolicy: both
         # schedulers call ``after_cycle`` on it at every completed
@@ -201,17 +201,22 @@ class Engine:
     def add_node(self, node: ProtocolNode) -> None:
         """Attach ``node`` to the universe and the network directory.
 
-        Nodes configured for batched verification (they carry a private
-        plan) are rebound to the engine-wide shared plan here, so every
+        This is the one place that picks a node's chain verifier, and
+        the transport decides it.  Over the wire transport every
+        descriptor arrives freshly decoded, without the per-object
+        verification memo, so each node verifying against this
+        engine's registry is bound to the engine-wide shared plan and
+        every distinct chain is verified once network-wide per cycle.
+        Over the object transport receivers share the sender's objects
+        and their memos, and nodes keep the sequential verifier.  Every
         construction site — scenario builders, churn joiners, ad-hoc
-        experiments — gets network-wide verdict sharing without its own
-        wiring.  Only nodes verifying against this engine's registry
-        qualify; anything else keeps its private plan.
+        experiments — gets this without its own wiring.
         """
         if node.node_id in self.nodes:
             raise SimulationError(f"duplicate node id {node.node_id!r}")
         if (
-            getattr(node, "_vplan", None) is not None
+            isinstance(self.network.message_transport, WireTransport)
+            and hasattr(node, "bind_verification_plan")
             and getattr(node, "registry", None) is self.registry
         ):
             node.bind_verification_plan(self.verification_plan())

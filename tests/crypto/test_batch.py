@@ -324,15 +324,16 @@ def test_same_cycle_blacklist_is_never_bypassed_via_shared_memo(registry):
 
 
 def test_overlay_under_attack_exercises_shared_plan_invalidation():
-    """End-to-end: a batched-verification overlay under a hub attack
-    matches the sequential overlay node-for-node, and the blacklisting
-    wave actually exercised the shared plan's invalidation hook."""
+    """End-to-end: a wire overlay (shared plan) under a hub attack
+    matches the object overlay (sequential verifier) node-for-node, and
+    the blacklisting wave actually exercised the shared plan's
+    invalidation hook."""
 
-    def run(mode):
+    def run(transport):
         overlay = build_secure_overlay(
             n=40,
             config=SecureCyclonConfig(
-                view_length=8, swap_length=3, verification=mode
+                view_length=8, swap_length=3, transport=transport
             ),
             malicious=4,
             attack_start=2,
@@ -352,9 +353,10 @@ def test_overlay_under_attack_exercises_shared_plan_invalidation():
         }
         return snapshot, overlay.engine
 
-    sequential, _ = run("sequential")
-    batched, engine = run("batched")
+    sequential, object_engine = run("object")
+    batched, engine = run("wire")
     assert sequential == batched
+    assert object_engine._verification_plan is None
     plan = engine._verification_plan
     assert plan is not None
     assert plan.invalidations > 0

@@ -1,10 +1,11 @@
 """The resume contract: checkpoint + fresh rebuild == unbroken run.
 
-The matrix runs {object, wire} transports × {sequential, batched}
-verification: a run checkpointed at its midpoint and resumed into a
-freshly built engine must reproduce the unbroken run's probe series
-and final node state exactly — every RNG stream, view, cache,
-blacklist, adversary pool, and counter carried over bit-for-bit.
+The matrix runs both transports (object overlays verify chains
+sequentially, wire overlays through the engine's shared batched plan):
+a run checkpointed at its midpoint and resumed into a freshly built
+engine must reproduce the unbroken run's probe series and final node
+state exactly — every RNG stream, view, cache, blacklist, adversary
+pool, and counter carried over bit-for-bit.
 
 Also covered: the scheduler-driven :class:`CheckpointPolicy` (every-N
 and on-demand), the experiments CLI's ``split_runs`` hook, resuming
@@ -19,7 +20,7 @@ import dataclasses
 import pytest
 
 from repro.adversary.cloning import CloningAttacker
-from repro.core.config import ENV_VERIFICATION, SecureCyclonConfig
+from repro.core.config import SecureCyclonConfig
 from repro.cyclon.config import CyclonConfig
 from repro.errors import CheckpointError, ConfigError, SimulationError
 from repro.experiments.scenarios import build_cyclon_overlay, build_secure_overlay
@@ -69,12 +70,8 @@ def _node_state(overlay):
 
 
 @pytest.mark.parametrize("transport", ["object", "wire"])
-@pytest.mark.parametrize("verification", ["sequential", "batched"])
-def test_resume_matches_unbroken_run(
-    monkeypatch, tmp_path, transport, verification
-):
+def test_resume_matches_unbroken_run(monkeypatch, tmp_path, transport):
     monkeypatch.setenv(ENV_TRANSPORT, transport)
-    monkeypatch.setenv(ENV_VERIFICATION, verification)
 
     unbroken, unbroken_obs = _build()
     unbroken.run(CYCLES)
